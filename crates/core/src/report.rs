@@ -118,10 +118,14 @@ impl ErrorRateEstimate {
         let sd = self.sd_error_rate().max(mean * 0.05 + 1e-9);
         let lo = (mean - span * sd).max(0.0);
         let hi = mean + span * sd;
+        // One prepared Eq. 14 evaluator serves every point; each point is
+        // bitwise what `rate_cdf` returns for it.
+        let eval = self.mixture.evaluator(self.dk_lambda.min(1.0))?;
+        let dk_count = self.dk_count.min(1.0);
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let rate = lo + (hi - lo) * i as f64 / (n.max(2) - 1) as f64;
-            let b = self.rate_cdf(rate)?;
+            let b = eval.cdf_bounds(rate * self.total_instructions, dk_count)?;
             out.push(RateCdfPoint {
                 rate,
                 lower: b.lower,

@@ -43,6 +43,20 @@ pub struct InstFeatures {
 impl InstFeatures {
     /// The previous-bus state a feature extraction is relative to.
     pub const FLUSHED_BUS: (u32, u32) = (0, 0);
+
+    /// The features of the same dynamic instance `r` that `self` was
+    /// [`extract`]ed from, relative to another bus state. Only the toggles
+    /// depend on the bus, so only they are recomputed: the result equals
+    /// `extract(r, bus)` without re-running the carry-chain scan.
+    #[must_use]
+    pub fn rebased(self, r: &Retired, bus: BusState) -> Self {
+        let (a, b) = operand_values(r);
+        InstFeatures {
+            toggle_a: toggles(a, bus.a),
+            toggle_b: toggles(b, bus.b),
+            ..self
+        }
+    }
 }
 
 /// The running bus state used to compute toggle features.
@@ -82,26 +96,30 @@ pub fn operand_values(r: &Retired) -> (u32, u32) {
 
 /// Longest run of consecutive carry-propagate positions actually traversed
 /// by a carry in `a + b + cin`.
+///
+/// Word-parallel: bit `i` of `a ^ b ^ (a + b + cin)` is the carry into
+/// position `i` (the sum is taken in `u64` so the carry out of bit 31 does
+/// not wrap), and a position propagates a carry when it is also a propagate
+/// position (`a ^ b`). The answer is the longest run of set bits in that
+/// mask — the same count the ripple recurrence `c_{i+1} = g_i | (p_i & c_i)`
+/// produces bit by bit.
 pub fn carry_chain_length(a: u32, b: u32, cin: bool) -> u8 {
-    // Carry into bit i+1: c_{i+1} = g_i | (p_i & c_i).
-    let mut c = cin;
-    let mut run = 0u8;
+    let (a, b) = (u64::from(a), u64::from(b));
+    let carry_in = a ^ b ^ (a + b + u64::from(cin));
+    let mut propagated = (a ^ b) & carry_in;
+    // Each step shortens every run of ones by one; the step count is the
+    // longest run (at most 32).
     let mut best = 0u8;
-    for i in 0..32 {
-        let ai = a >> i & 1 == 1;
-        let bi = b >> i & 1 == 1;
-        let g = ai && bi;
-        let p = ai ^ bi;
-        let propagated = p && c;
-        if propagated {
-            run += 1;
-            best = best.max(run);
-        } else {
-            run = 0;
-        }
-        c = g || (p && c);
+    while propagated != 0 {
+        propagated &= propagated << 1;
+        best += 1;
     }
     best
+}
+
+/// Hamming distance between an operand and the value previously on its bus.
+fn toggles(operand: u32, previous: u32) -> u8 {
+    (operand ^ previous).count_ones() as u8
 }
 
 /// Extracts the feature vector of a retired instruction relative to a bus
@@ -143,8 +161,8 @@ pub fn extract(r: &Retired, bus: BusState) -> InstFeatures {
         carry_chain,
         shift_amount,
         mul_width,
-        toggle_a: (a ^ bus.a).count_ones() as u8,
-        toggle_b: (b ^ bus.b).count_ones() as u8,
+        toggle_a: toggles(a, bus.a),
+        toggle_b: toggles(b, bus.b),
     }
 }
 

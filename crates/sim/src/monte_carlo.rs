@@ -30,8 +30,9 @@
 //! identical in every lane. Only two per-instruction states can differ
 //! between lanes — whether the *previous* instruction erred (bus flushed by
 //! the correction scheme) or not (bus advanced normally) — so one machine
-//! step serves all 64 lanes with at most two feature extractions, one
-//! batched per-chip probability evaluation
+//! step serves all 64 lanes with one feature extraction (plus a toggle-only
+//! [`InstFeatures::rebased`] copy for lanes whose previous instruction
+//! erred), one batched per-chip probability evaluation
 //! ([`InstErrorModel::error_probabilities_batch`], memoized per recurring
 //! feature vector), and one Bernoulli draw per lane from that lane's own
 //! `(cfg.seed, chip, input)` stream. Lane `l` of group `g` draws exactly
@@ -277,7 +278,7 @@ where
         let f_n = extract(&r, bus);
         let p_n = batch_probs(&mut memo, model, prev_index, r.index, f_n, group_chips);
         let p_e = if err_mask != 0 {
-            let f_e = extract(&r, err_bus);
+            let f_e = f_n.rebased(&r, err_bus);
             if f_e == f_n {
                 Rc::clone(&p_n)
             } else {

@@ -2,9 +2,9 @@
 //! cluster, and pay full feature extraction only for each cluster's
 //! representative window.
 //!
-//! Full-trace profiling is O(cycles): every retired instruction pays two
-//! [`extract`] calls (the carry-chain scans dominate) plus reservoir
-//! maintenance. Real programs, however, move through a small number of
+//! Full-trace profiling is O(cycles): every retired instruction is stepped
+//! and pays reservoir maintenance (plus an [`extract`] call whenever the
+//! reservoir keeps it). Real programs, however, move through a small number of
 //! *phases* — stretches of execution with near-identical per-block mixes and
 //! toggle behavior — so the feature distributions the error model needs can
 //! be measured on one representative window per phase and weighted by phase
@@ -44,7 +44,7 @@
 
 use crate::features::{extract, operand_values, BusState, InstFeatures};
 use crate::machine::Machine;
-use crate::profile::{ProfileResult, Profiler};
+use crate::profile::{reservoir_slot, ProfileResult, Profiler};
 use crate::Result;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -557,22 +557,23 @@ impl Profiler {
             for _ in 0..trace.instructions[w] {
                 let r = machine.step(program)?;
                 let idx = r.index as usize;
-                let fn_ = extract(&r, bus);
-                let fc = extract(&r, BusState::flushed());
                 let key = (idx, c);
                 let s = seen.entry(key).or_insert(0);
                 *s += 1;
+                // As in `Profiler::profile`: extract only what the
+                // reservoir keeps.
                 let vn = feat_n.entry(key).or_default();
-                if vn.len() < cap {
-                    vn.push(fn_);
-                    feat_c.entry(key).or_default().push(fc);
-                } else {
-                    let j = rng.next_below(*s) as usize;
-                    if j < cap {
+                let kept = vn.len();
+                if let Some(j) = reservoir_slot(kept, cap, *s, &mut rng) {
+                    let fn_ = extract(&r, bus);
+                    let fc = fn_.rebased(&r, BusState::flushed());
+                    let vc = feat_c.entry(key).or_default();
+                    if j == kept {
+                        vn.push(fn_);
+                        vc.push(fc);
+                    } else {
                         vn[j] = fn_;
-                        if let Some(vc) = feat_c.get_mut(&key) {
-                            vc[j] = fc;
-                        }
+                        vc[j] = fc;
                     }
                 }
                 bus.advance(&r);

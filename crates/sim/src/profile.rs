@@ -152,17 +152,18 @@ impl Profiler {
                 operand_reps[idx] = Some((r.rs1_val, r.rs2_val));
             }
             // Reservoir-sample features (both previous-state variants from
-            // the same dynamic instance, so they stay paired).
-            let fn_ = extract(&r, bus);
-            let fc = extract(&r, BusState::flushed());
+            // the same dynamic instance, so they stay paired). The draw
+            // sequence does not depend on the features, so they are
+            // extracted only for an instance the reservoir keeps.
             seen[idx] += 1;
-            let k = self.max_feature_samples;
-            if features_normal[idx].len() < k {
-                features_normal[idx].push(fn_);
-                features_corrected[idx].push(fc);
-            } else {
-                let j = rng.next_below(seen[idx]) as usize;
-                if j < k {
+            let kept = features_normal[idx].len();
+            if let Some(j) = reservoir_slot(kept, self.max_feature_samples, seen[idx], &mut rng) {
+                let fn_ = extract(&r, bus);
+                let fc = fn_.rebased(&r, BusState::flushed());
+                if j == kept {
+                    features_normal[idx].push(fn_);
+                    features_corrected[idx].push(fc);
+                } else {
                     features_normal[idx][j] = fn_;
                     features_corrected[idx][j] = fc;
                 }
@@ -178,6 +179,23 @@ impl Profiler {
             operand_reps,
         })
     }
+}
+
+/// Reservoir sampling (Algorithm R) for the `seen`-th instance of a
+/// stream: the slot it takes in a reservoir of capacity `cap` currently
+/// holding `kept` samples (`kept` itself appends), or `None` when it is
+/// not kept. Draws from `rng` only once the reservoir is full.
+pub(crate) fn reservoir_slot(
+    kept: usize,
+    cap: usize,
+    seen: u64,
+    rng: &mut Xoshiro256,
+) -> Option<usize> {
+    if kept < cap {
+        return Some(kept);
+    }
+    let j = rng.next_below(seen) as usize;
+    (j < cap).then_some(j)
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use terse_isa::{Cfg, Instruction, Opcode, Program};
-use terse_sim::machine::Machine;
+use terse_sim::features::{carry_chain_length, extract, BusState};
+use terse_sim::machine::{Machine, Retired};
 use terse_sim::profile::Profiler;
 
 /// Reference semantics for the ALU subset.
@@ -25,6 +26,82 @@ fn reference_alu(op: Opcode, a: u32, b: u32, imm: i32) -> u32 {
         Opcode::Ori => a | (imm as u32 & 0xFFFF),
         Opcode::Xori => a ^ (imm as u32 & 0xFFFF),
         _ => unreachable!(),
+    }
+}
+
+/// Bit-serial reference for the carry-chain feature: ripples the carry
+/// `c_{i+1} = g_i | (p_i & c_i)` through the 32 positions and tracks the
+/// longest run of positions that propagate an incoming carry.
+fn carry_chain_bit_serial(a: u32, b: u32, cin: bool) -> u8 {
+    let mut c = cin;
+    let mut run = 0u8;
+    let mut best = 0u8;
+    for i in 0..32 {
+        let ai = a >> i & 1 == 1;
+        let bi = b >> i & 1 == 1;
+        let g = ai && bi;
+        let p = ai ^ bi;
+        if p && c {
+            run += 1;
+            best = best.max(run);
+        } else {
+            run = 0;
+        }
+        c = g || (p && c);
+    }
+    best
+}
+
+/// A retired instance of any opcode with arbitrary operand values.
+fn arb_retired() -> impl Strategy<Value = Retired> {
+    (
+        prop::sample::select(Opcode::ALL.to_vec()),
+        any::<u32>(),
+        any::<u32>(),
+        any::<i32>(),
+    )
+        .prop_map(|(opcode, rs1_val, rs2_val, imm)| Retired {
+            index: 0,
+            inst: Instruction {
+                opcode,
+                rd: 3,
+                rs1: 1,
+                rs2: 2,
+                imm,
+            },
+            rs1_val,
+            rs2_val,
+            result: 0,
+            mem_addr: None,
+            loaded: None,
+            taken: None,
+            next_pc: 1,
+        })
+}
+
+fn arb_bus() -> impl Strategy<Value = BusState> {
+    (any::<u32>(), any::<u32>()).prop_map(|(a, b)| BusState { a, b })
+}
+
+#[test]
+fn carry_chain_matches_bit_serial_on_every_propagate_run() {
+    // `a ^ b` set exactly on bits i..j: every contiguous propagate run,
+    // with the generate/kill pattern below and above it varied.
+    for i in 0..32u32 {
+        for j in i + 1..=32u32 {
+            let run = (u32::MAX >> (32 - (j - i))) << i;
+            for g in [0, u32::MAX, 0x5555_5555, 0xAAAA_AAAA] {
+                let a = run | (g & !run);
+                let b = g & !run;
+                for cin in [false, true] {
+                    assert_eq!(
+                        carry_chain_length(a, b, cin),
+                        carry_chain_bit_serial(a, b, cin),
+                        "a={a:#010x} b={b:#010x} cin={cin}"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -132,11 +209,26 @@ proptest! {
 
     #[test]
     fn carry_chain_feature_within_bounds(a in any::<u32>(), b in any::<u32>(), cin in any::<bool>()) {
-        let c = terse_sim::features::carry_chain_length(a, b, cin);
+        let c = carry_chain_length(a, b, cin);
         prop_assert!(c <= 32);
         // A chain requires at least one propagate position.
         if c > 0 {
             prop_assert!((a ^ b) != 0 || cin);
         }
+    }
+
+    #[test]
+    fn carry_chain_matches_bit_serial(a in any::<u32>(), b in any::<u32>(), cin in any::<bool>()) {
+        prop_assert_eq!(carry_chain_length(a, b, cin), carry_chain_bit_serial(a, b, cin));
+        // Subtraction's operand form `a + !b + 1`.
+        prop_assert_eq!(carry_chain_length(a, !b, true), carry_chain_bit_serial(a, !b, true));
+    }
+
+    #[test]
+    fn toggle_rebase_equals_full_extract(r in arb_retired(), bus in arb_bus(), other in arb_bus()) {
+        let f = extract(&r, bus);
+        prop_assert_eq!(f.rebased(&r, other), extract(&r, other));
+        prop_assert_eq!(f.rebased(&r, BusState::flushed()), extract(&r, BusState::flushed()));
+        prop_assert_eq!(f.rebased(&r, bus), f);
     }
 }

@@ -15,7 +15,7 @@
 //! ±`d_K(λ, λ̄)` *in probability* before integrating, then add/subtract
 //! `d_K(N_E, N̄_E)`, clamping to `[0, 1]`.
 
-use crate::quadrature::{gauss_hermite, gauss_legendre};
+use crate::quadrature::{gauss_hermite, gauss_legendre, QuadratureRule};
 use crate::special::std_normal_quantile_clamped;
 use crate::{Normal, Poisson, Result, StatsError};
 
@@ -82,6 +82,63 @@ impl PoissonNormalMixture {
         self.lambda.mean().max(0.0) + self.lambda.variance()
     }
 
+    /// Prepares the Eq. 14 integrals for repeated evaluation at one
+    /// `dk_lambda`: the quadrature rules and their λ nodes are built once
+    /// here instead of once per evaluation point (see
+    /// [`MixtureEvaluator`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InvalidParameter`] if `dk_lambda ∉ [0, 1]`,
+    /// and propagates quadrature construction errors (unreachable for the
+    /// fixed internal node counts).
+    pub fn evaluator(&self, dk_lambda: f64) -> Result<MixtureEvaluator> {
+        unit_interval("dk_lambda", dk_lambda)?;
+        let mu = self.lambda.mean();
+        let sd = self.lambda.sd();
+        let nominal = if sd == 0.0 {
+            None
+        } else {
+            let sqrt2 = std::f64::consts::SQRT_2;
+            Some(gauss_hermite(GH_NODES)?.map_nodes(|x| mu + sqrt2 * sd * x))
+        };
+        let shifted = if dk_lambda > 0.0 && dk_lambda < 1.0 {
+            let quantile = |u: f64| -> f64 {
+                if sd == 0.0 {
+                    mu
+                } else {
+                    (mu + sd * std_normal_quantile_clamped(u)).max(0.0)
+                }
+            };
+            // Integrate Pr(X ≤ k | λ = Q(u')) du over u ∈ [0,1] where u' is
+            // the shifted quantile level; the mass `d` outside the
+            // integration interval is the edge term of `cdf_shifted`.
+            let d = dk_lambda;
+            let rule = |shift: Shift| -> Result<QuadratureRule> {
+                let (lo, hi) = match shift {
+                    Shift::Up => (d, 1.0),
+                    Shift::Down => (0.0, 1.0 - d),
+                };
+                Ok(gauss_legendre(GL_NODES, lo, hi)?.map_nodes(|u| {
+                    let u_shift = match shift {
+                        Shift::Up => u - d,
+                        Shift::Down => u + d,
+                    };
+                    quantile(u_shift.clamp(1e-12, 1.0 - 1e-12))
+                }))
+            };
+            Some([rule(Shift::Down)?, rule(Shift::Up)?])
+        } else {
+            None
+        };
+        Ok(MixtureEvaluator {
+            mu,
+            dk_lambda,
+            nominal,
+            shifted,
+        })
+    }
+
     /// The Eq. 14 CDF, `Pr(N̄_E ≤ k)`.
     ///
     /// # Errors
@@ -89,23 +146,66 @@ impl PoissonNormalMixture {
     /// Propagates quadrature construction errors (unreachable for the fixed
     /// internal node counts).
     pub fn cdf(&self, k: f64) -> Result<f64> {
+        Ok(self.evaluator(0.0)?.cdf(k))
+    }
+
+    /// The Eq. 14 CDF with the λ distribution shifted in probability by
+    /// `dk_lambda` (see [`MixtureEvaluator::cdf_shifted`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InvalidParameter`] if `dk_lambda ∉ [0, 1]`.
+    pub fn cdf_shifted(&self, k: f64, dk_lambda: f64, shift: Shift) -> Result<f64> {
+        Ok(self.evaluator(dk_lambda)?.cdf_shifted(k, shift))
+    }
+
+    /// The full Section 6.4 bound pair at `k` (see
+    /// [`MixtureEvaluator::cdf_bounds`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InvalidParameter`] unless both `dk_lambda` and
+    /// `dk_count` lie in `[0, 1]`.
+    pub fn cdf_bounds(&self, k: f64, dk_lambda: f64, dk_count: f64) -> Result<CdfBounds> {
+        self.evaluator(dk_lambda)?.cdf_bounds(k, dk_count)
+    }
+}
+
+/// The Eq. 14 integrals of one mixture at one `dk_lambda`, ready to
+/// evaluate at many `k`: the Gauss–Hermite rule of the nominal CDF, the two
+/// Gauss–Legendre rules of the shifted CDFs and every λ node of the three
+/// are computed once, by [`PoissonNormalMixture::evaluator`]. A Figure 3
+/// series holds one and evaluates all its points with it; the per-point
+/// methods of [`PoissonNormalMixture`] build one per call. Either way each
+/// point costs the same floating-point operations in the same order, so
+/// the results are bitwise identical.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MixtureEvaluator {
+    /// Mean of λ (the nominal CDF's point mass when `sd = 0`).
+    mu: f64,
+    /// The probability shift `d_K(λ, λ̄)`.
+    dk_lambda: f64,
+    /// Gauss–Hermite rule with its nodes mapped to `λ = μ + √2·σ·xᵢ`;
+    /// `None` when `sd = 0`.
+    nominal: Option<QuadratureRule>,
+    /// Gauss–Legendre rules of the `[Down, Up]` shifted integrals, nodes
+    /// mapped to λ at the shifted quantile level; `None` unless
+    /// `0 < dk_lambda < 1`.
+    shifted: Option<[QuadratureRule; 2]>,
+}
+
+impl MixtureEvaluator {
+    /// The Eq. 14 CDF, `Pr(N̄_E ≤ k)`.
+    pub fn cdf(&self, k: f64) -> f64 {
         if k < 0.0 {
-            return Ok(0.0);
+            return 0.0;
         }
-        if self.lambda.sd() == 0.0 {
-            return Ok(poisson_cdf_safe(k, self.lambda.mean()));
-        }
-        let rule = gauss_hermite(GH_NODES)?;
-        let sqrt2 = std::f64::consts::SQRT_2;
+        let Some(nominal) = &self.nominal else {
+            return poisson_cdf_safe(k, self.mu);
+        };
         let inv_sqrt_pi = 1.0 / std::f64::consts::PI.sqrt();
-        let mu = self.lambda.mean();
-        let sd = self.lambda.sd();
-        let v = inv_sqrt_pi
-            * rule.integrate(|x| {
-                let lam = mu + sqrt2 * sd * x;
-                poisson_cdf_safe(k, lam)
-            });
-        Ok(v.clamp(0.0, 1.0))
+        let v = inv_sqrt_pi * nominal.integrate(|lam| poisson_cdf_safe(k, lam));
+        v.clamp(0.0, 1.0)
     }
 
     /// The Eq. 14 CDF with the λ distribution shifted in probability by
@@ -116,57 +216,28 @@ impl PoissonNormalMixture {
     /// to the most favorable extreme; in quantile space,
     /// `F_up⁻¹(u) = F⁻¹(max(u − d, 0⁺))`, with the first `d` of mass landing
     /// on λ = 0 (where the Poisson CDF is 1). Symmetrically for `Down`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `dk_lambda ∉ [0, 1]`.
-    pub fn cdf_shifted(&self, k: f64, dk_lambda: f64, shift: Shift) -> Result<f64> {
-        if !(0.0..=1.0).contains(&dk_lambda) {
-            return Err(StatsError::InvalidParameter {
-                name: "dk_lambda",
-                value: dk_lambda,
-                requirement: "0 <= d <= 1",
-            });
-        }
+    pub fn cdf_shifted(&self, k: f64, shift: Shift) -> f64 {
         if k < 0.0 {
-            return Ok(0.0);
+            return 0.0;
         }
-        if dk_lambda == 0.0 {
+        if self.dk_lambda == 0.0 {
             return self.cdf(k);
         }
-        if dk_lambda >= 1.0 {
-            return Ok(match shift {
+        let Some([down, up]) = &self.shifted else {
+            // dk_lambda ≥ 1: all mass moved to the extreme.
+            return match shift {
                 Shift::Up => 1.0,
                 Shift::Down => 0.0,
-            });
-        }
-        let mu = self.lambda.mean();
-        let sd = self.lambda.sd();
-        let quantile = |u: f64| -> f64 {
-            if sd == 0.0 {
-                mu
-            } else {
-                (mu + sd * std_normal_quantile_clamped(u)).max(0.0)
-            }
-        };
-        // Integrate Pr(X ≤ k | λ = Q(u')) du over u ∈ [0,1] where u' is the
-        // shifted quantile level.
-        let d = dk_lambda;
-        let (lo, hi, edge_mass, edge_value) = match shift {
-            // Mass `d` moved to λ = 0⁺ where the Poisson CDF is 1.
-            Shift::Up => (d, 1.0, d, 1.0),
-            // Mass `d` moved to λ = +∞ where the Poisson CDF is 0.
-            Shift::Down => (0.0, 1.0 - d, d, 0.0),
-        };
-        let rule = gauss_legendre(GL_NODES, lo, hi)?;
-        let interior = rule.integrate(|u| {
-            let u_shift = match shift {
-                Shift::Up => u - d,
-                Shift::Down => u + d,
             };
-            poisson_cdf_safe(k, quantile(u_shift.clamp(1e-12, 1.0 - 1e-12)))
-        });
-        Ok((interior + edge_mass * edge_value).clamp(0.0, 1.0))
+        };
+        let (rule, edge_value) = match shift {
+            // Mass `d` moved to λ = 0⁺ where the Poisson CDF is 1.
+            Shift::Up => (up, 1.0),
+            // Mass `d` moved to λ = +∞ where the Poisson CDF is 0.
+            Shift::Down => (down, 0.0),
+        };
+        let interior = rule.integrate(|lam| poisson_cdf_safe(k, lam));
+        (interior + self.dk_lambda * edge_value).clamp(0.0, 1.0)
     }
 
     /// The full Section 6.4 bound pair at `k`: probability-shift λ by
@@ -175,23 +246,30 @@ impl PoissonNormalMixture {
     ///
     /// # Errors
     ///
-    /// Propagates [`PoissonNormalMixture::cdf_shifted`] errors;
-    /// `dk_count` must lie in `[0, 1]`.
-    pub fn cdf_bounds(&self, k: f64, dk_lambda: f64, dk_count: f64) -> Result<CdfBounds> {
-        if !(0.0..=1.0).contains(&dk_count) {
-            return Err(StatsError::InvalidParameter {
-                name: "dk_count",
-                value: dk_count,
-                requirement: "0 <= d <= 1",
-            });
-        }
-        let nominal = self.cdf(k)?;
-        let lower = (self.cdf_shifted(k, dk_lambda, Shift::Down)? - dk_count).clamp(0.0, 1.0);
-        let upper = (self.cdf_shifted(k, dk_lambda, Shift::Up)? + dk_count).clamp(0.0, 1.0);
+    /// Returns [`StatsError::InvalidParameter`] unless `dk_count` lies in
+    /// `[0, 1]`.
+    pub fn cdf_bounds(&self, k: f64, dk_count: f64) -> Result<CdfBounds> {
+        unit_interval("dk_count", dk_count)?;
+        let nominal = self.cdf(k);
+        let lower = (self.cdf_shifted(k, Shift::Down) - dk_count).clamp(0.0, 1.0);
+        let upper = (self.cdf_shifted(k, Shift::Up) + dk_count).clamp(0.0, 1.0);
         Ok(CdfBounds {
             lower: lower.min(nominal),
             nominal,
             upper: upper.max(nominal),
+        })
+    }
+}
+
+/// Rejects a Kolmogorov-distance argument outside `[0, 1]` (NaN included).
+fn unit_interval(name: &'static str, value: f64) -> Result<()> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(StatsError::InvalidParameter {
+            name,
+            value,
+            requirement: "0 <= d <= 1",
         })
     }
 }

@@ -34,6 +34,15 @@ impl QuadratureRule {
         self.nodes.is_empty()
     }
 
+    /// The same weights with every node mapped through `f`: a change of
+    /// variable computed once for a rule integrated many times.
+    pub(crate) fn map_nodes(mut self, f: impl Fn(f64) -> f64) -> Self {
+        for x in &mut self.nodes {
+            *x = f(*x);
+        }
+        self
+    }
+
     /// Evaluates `Σ wᵢ f(xᵢ)`.
     pub fn integrate(&self, f: impl Fn(f64) -> f64) -> f64 {
         self.nodes
