@@ -199,7 +199,9 @@ impl Default for FrameworkBuilder {
             // The stage-DTS memo is exact (bit-verified toggle sets), so it
             // is on by default; see `FrameworkBuilder::dta_cache`.
             dta_cache_entries: 1024,
-            sim_strategy: SimStrategy::default(),
+            // Training co-simulates its streams 64 lanes at a time; the
+            // scalar strategies stay available as the reference.
+            sim_strategy: SimStrategy::Packed,
             sampling: None,
             prescreen: PrescreenConfig::default(),
         }
@@ -297,9 +299,11 @@ impl FrameworkBuilder {
     }
 
     /// Sets the gate-evaluation strategy the model-training co-simulations
-    /// use ([`SimStrategy::Packed`] runs the compiled op tape with
-    /// dirty-span skipping). Every strategy produces bitwise-identical
-    /// models; only the simulation cost differs — the work counters land in
+    /// use. The default, [`SimStrategy::Packed`], runs up to 64 training
+    /// streams at once, one per lane of the compiled op tape with
+    /// dirty-span skipping; the scalar strategies run one stream at a time.
+    /// Every strategy produces bitwise-identical models; only the
+    /// simulation cost differs — the work counters land in
     /// [`Report::perf_summary`].
     pub fn sim_strategy(mut self, strategy: SimStrategy) -> Self {
         self.sim_strategy = strategy;
@@ -389,6 +393,7 @@ impl FrameworkBuilder {
                 .then(|| Arc::new(DtsCache::new(self.dta_cache_entries))),
             pool,
             datapath_cache: OnceLock::new(),
+            preflight_cache: OnceLock::new(),
             sim_strategy: self.sim_strategy,
             cosim_stats: Mutex::new(CosimStats::default()),
             sampling: self.sampling,
@@ -419,6 +424,9 @@ pub struct Framework {
     dts_cache: Option<Arc<DtsCache>>,
     pool: rayon::ThreadPool,
     datapath_cache: OnceLock<DatapathModel>,
+    /// The program-independent parts of [`Framework::preflight`]: the
+    /// netlist report and the per-stage endpoint-slack report.
+    preflight_cache: OnceLock<(AnalysisReport, AnalysisReport)>,
     /// Gate-evaluation strategy for the model-training co-simulations.
     sim_strategy: SimStrategy,
     /// Accumulated co-simulation work counters across every training run
@@ -484,7 +492,11 @@ impl Framework {
     /// RVs at the working period (finiteness, basis, variance, and the
     /// static DTS interval bound). Returns the full report; [`run`]
     /// consults it and, under [`DegradationPolicy::Strict`], refuses to
-    /// start when the report contains errors.
+    /// start when the report contains errors. The netlist and slack passes
+    /// do not depend on the program: they run at the framework's first
+    /// preflight and are reused, so only the CFG and dataflow passes run
+    /// per program. Diagnostics keep the order netlist, CFG, dataflow,
+    /// slack.
     ///
     /// [`run`]: Framework::run
     ///
@@ -494,12 +506,29 @@ impl Framework {
     /// statistical timing engine (not analysis findings — those are
     /// returned inside the report).
     pub fn preflight(&self, w: &Workload) -> Result<AnalysisReport> {
-        let netlist = self.pipeline.netlist();
-        let mut report = AnalysisReport::new();
-        analyze_netlist(netlist, &mut report);
+        let (netlist_report, slack_report) = match self.preflight_cache.get() {
+            Some(parts) => parts,
+            None => {
+                let parts = self.preflight_static()?;
+                self.preflight_cache.get_or_init(|| parts)
+            }
+        };
+        let mut report = netlist_report.clone();
         let cfg = Cfg::from_program(w.program());
         analyze_cfg(w.program(), &cfg, &mut report);
         analyze_dataflow(w.program(), &cfg, &mut report);
+        report.absorb(slack_report.clone());
+        Ok(report)
+    }
+
+    /// The program-independent preflight passes, run once per framework:
+    /// the netlist structure report and the per-stage endpoint-slack
+    /// report at the working period.
+    fn preflight_static(&self) -> Result<(AnalysisReport, AnalysisReport)> {
+        let netlist = self.pipeline.netlist();
+        let mut netlist_report = AnalysisReport::new();
+        analyze_netlist(netlist, &mut netlist_report);
+        let mut report = AnalysisReport::new();
         let model = VariationModel::new(netlist, &self.lib, self.variation)?;
         let ssta = StatisticalSta::new(netlist, &self.lib, &model);
         let sta = Sta::new(netlist, &self.lib);
@@ -530,7 +559,7 @@ impl Framework {
             };
             analyze_slacks(&rvs, &stage_cfg, &format!("stage {s}"), &mut report);
         }
-        Ok(report)
+        Ok((netlist_report, report))
     }
 
     /// Runs the netlist structural passes over an arbitrary netlist and
@@ -1493,6 +1522,35 @@ mod tests {
     }
 
     #[test]
+    fn preflight_reuses_program_independent_passes_exactly() {
+        let a = Workload::from_asm("a", "addi r1, r0, 1\nadd r2, r1, r1\nhalt\n").unwrap();
+        // Dead code after `halt` and a read of a never-defined register:
+        // CFG and dataflow findings that `a` does not have.
+        let b = Workload::from_asm(
+            "b",
+            "add r2, r1, r1\nst r2, r0, 0\nhalt\naddi r5, r0, 9\nhalt\n",
+        )
+        .unwrap();
+        let fresh = small_framework().preflight(&b).unwrap();
+        let warm_f = small_framework();
+        warm_f.preflight(&a).unwrap();
+        let warm = warm_f.preflight(&b).unwrap();
+        assert_eq!(fresh.diagnostics(), warm.diagnostics());
+        // Order: netlist, CFG, dataflow, slack.
+        let rank = |code: &str| {
+            ["NL", "CF", "DF", "SL"]
+                .iter()
+                .position(|p| code.starts_with(p))
+        };
+        let ranks: Vec<_> = warm.diagnostics().iter().map(|d| rank(d.code)).collect();
+        assert!(ranks.iter().all(Option::is_some), "{ranks:?}");
+        assert!(ranks.windows(2).all(|r| r[0] <= r[1]), "{ranks:?}");
+        for group in 0..4 {
+            assert!(ranks.contains(&Some(group)), "no findings of group {group}");
+        }
+    }
+
+    #[test]
     fn builder_defaults_are_coherent() {
         let f = small_framework();
         assert_eq!(f.samples(), 2);
@@ -1872,7 +1930,19 @@ mod tests {
     #[test]
     fn packed_strategy_run_is_bitwise_identical_and_counted() {
         let w = loop_workload();
-        let reference = small_framework().run(&w).unwrap();
+        let reference = Framework::builder()
+            .samples(2)
+            .profiler(Profiler {
+                max_feature_samples: 8,
+                budget: 100_000,
+                dmem_words: 4096,
+                seed: 1,
+            })
+            .sim_strategy(SimStrategy::EventDriven)
+            .build()
+            .unwrap()
+            .run(&w)
+            .unwrap();
         let f = Framework::builder()
             .samples(2)
             .profiler(Profiler {
@@ -1902,6 +1972,43 @@ mod tests {
             summary.contains("bit-parallel: strategy Packed"),
             "{summary}"
         );
+    }
+
+    #[test]
+    fn every_strategy_trains_the_same_model_over_the_same_cycles() {
+        let w = loop_workload();
+        let strategies = [
+            SimStrategy::EventDriven,
+            SimStrategy::FullScan,
+            SimStrategy::CompiledTape,
+            SimStrategy::Packed,
+        ];
+        let runs: Vec<_> = strategies
+            .iter()
+            .map(|&s| {
+                let f = Framework::builder()
+                    .samples(2)
+                    .profiler(Profiler {
+                        max_feature_samples: 8,
+                        budget: 100_000,
+                        dmem_words: 4096,
+                        seed: 1,
+                    })
+                    .sim_strategy(s)
+                    .build()
+                    .unwrap();
+                let report = f.run(&w).unwrap();
+                (report, f.cosim_stats())
+            })
+            .collect();
+        let (reference, ref_stats) = &runs[0];
+        assert!(ref_stats.cycles > 0);
+        for (s, (report, stats)) in strategies.iter().zip(&runs).skip(1) {
+            assert_estimates_bitwise_equal(&reference.estimate, &report.estimate);
+            assert_eq!(stats.cycles, ref_stats.cycles, "{s:?}");
+        }
+        // The builder's default is the lane-batched path.
+        assert_eq!(small_framework().sim_strategy(), SimStrategy::Packed);
     }
 
     #[test]

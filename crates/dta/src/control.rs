@@ -13,9 +13,8 @@ use crate::Result;
 use std::collections::HashMap;
 use terse_isa::{BlockId, Cfg, Instruction, Opcode, Program};
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
-use terse_netlist::ActivityTrace;
 use terse_netlist::SimStrategy;
-use terse_sim::cosim::{CoSim, CoSimTrace, CosimStats};
+use terse_sim::cosim::{run_streams, CosimStats};
 use terse_sim::machine::Retired;
 use terse_sta::CanonicalRv;
 
@@ -160,65 +159,54 @@ pub fn characterize_control_with(
     strategy: SimStrategy,
     stats: &mut CosimStats,
 ) -> Result<ControlDtsTable> {
-    let mut table = ControlDtsTable::default();
-    for &(pred, block) in edges {
-        let blk = cfg.blocks()[block.index()];
-        // Build the instruction stream: up to STAGE_COUNT tail instructions
-        // of the predecessor (pipeline sharing), then the block.
-        let mut stream: Vec<(u32, Instruction)> = Vec::new();
-        if let Some(p) = pred {
+    // Each edge's stream: up to STAGE_COUNT tail instructions of the
+    // predecessor (pipeline sharing), then the block. The co-simulation
+    // pulls them one lane batch at a time.
+    let tail = |pred: Option<BlockId>| {
+        pred.map_or(0..0, |p| {
             let pb = cfg.blocks()[p.index()];
-            let tail_len = (pb.len()).min(STAGE_COUNT);
-            for i in (pb.end as usize - tail_len)..pb.end as usize {
-                // terse-analyze: allow(AZ005): stream indices are program positions, < 2^32.
-                stream.push((i as u32, program.instructions()[i]));
-            }
-        }
-        let body_start = stream.len();
-        for i in blk.range() {
+            pb.end as usize - pb.len().min(STAGE_COUNT)..pb.end as usize
+        })
+    };
+    let streams = edges.iter().map(|&(pred, block)| {
+        let indices: Vec<u32> = tail(pred)
+            .chain(cfg.blocks()[block.index()].range())
             // terse-analyze: allow(AZ005): stream indices are program positions, < 2^32.
-            stream.push((i as u32, program.instructions()[i]));
-        }
+            .map(|i| i as u32)
+            .collect();
         // Synthesize retirements (next index = following stream element).
-        let retired: Vec<Retired> = stream
+        indices
             .iter()
             .enumerate()
-            .map(|(k, &(idx, inst))| {
-                let next = stream.get(k + 1).map(|&(ni, _)| ni).unwrap_or(idx + 1);
-                synth_retired(idx, inst, next, operand_hint)
+            .map(|(k, &idx)| {
+                let next = indices.get(k + 1).copied().unwrap_or(idx + 1);
+                synth_retired(
+                    idx,
+                    program.instructions()[idx as usize],
+                    next,
+                    operand_hint,
+                )
             })
-            .collect();
-        // Co-simulate the stream plus drain.
-        let mut cosim = CoSim::with_strategy(pipeline, strategy);
-        let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
-        let mut fed = Vec::new();
-        for r in &retired {
-            fed.push(Some(r.index));
-            activity.push(cosim.feed(Some(*r))?);
-        }
-        for _ in 0..STAGE_COUNT {
-            fed.push(None);
-            activity.push(cosim.feed(None)?);
-        }
-        let trace = CoSimTrace {
-            activity,
-            fed,
-            retired: retired.clone(),
-        };
-        // Record DTS of the block's instructions (Algorithm 2 on control
-        // endpoints).
-        let mut slacks = Vec::with_capacity(blk.len());
-        for k in body_start..retired.len() {
-            slacks.push(engine.inst_dts_for(
-                &trace,
-                k,
-                EndpointFilter::Control,
-                Some(retired[k].index),
-            )?);
-        }
-        stats.absorb(&cosim);
+            .collect()
+    });
+    // Record the DTS of each block's instructions (Algorithm 2 on control
+    // endpoints) in edge order.
+    let mut table = ControlDtsTable::default();
+    run_streams(pipeline, streams, strategy, stats, |k, trace| {
+        let (pred, block) = edges[k];
+        let slacks = (tail(pred).len()..trace.retired.len())
+            .map(|i| {
+                engine.inst_dts_for(
+                    &trace,
+                    i,
+                    EndpointFilter::Control,
+                    Some(trace.retired[i].index),
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
         table.entries.insert((block, pred), slacks);
-    }
+        Ok::<(), crate::DtaError>(())
+    })?;
     Ok(table)
 }
 

@@ -16,10 +16,9 @@ use crate::engine::{DtsEngine, EndpointFilter};
 use crate::{DtaError, Result};
 use std::collections::HashMap;
 use terse_isa::{Instruction, Opcode};
-use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
-use terse_netlist::ActivityTrace;
+use terse_netlist::pipeline::PipelineNetlist;
 use terse_netlist::SimStrategy;
-use terse_sim::cosim::{CoSim, CoSimTrace, CosimStats};
+use terse_sim::cosim::{run_streams, CosimStats};
 use terse_sim::features::InstFeatures;
 use terse_sim::machine::Retired;
 use terse_sta::CanonicalRv;
@@ -131,15 +130,22 @@ impl DatapathModel {
             (FuncUnit::Shift, Opcode::Srl),
             (FuncUnit::Mul, Opcode::Mul),
         ];
-        for (unit, opcode) in units {
-            let mut entries = Vec::new();
-            for &level in &levels {
+        // Every (unit, level) directed sequence, co-simulated together; the
+        // DTS are measured in unit-major, level-minor order.
+        let streams = units.iter().flat_map(|&(unit, opcode)| {
+            levels.iter().map(move |&level| {
                 let (a, b) = training_operands(unit, level);
-                let dts = measure_data_dts(pipeline, engine, opcode, a, b, strategy, stats)?;
-                if let Some(rv) = dts {
-                    entries.push((level, rv));
-                }
+                directed_stream(opcode, a, b)
+            })
+        });
+        let mut entries: Vec<Vec<(u8, CanonicalRv)>> = vec![Vec::new(); units.len()];
+        run_streams(pipeline, streams, strategy, stats, |k, trace| {
+            if let Some(rv) = engine.inst_dts(&trace, TARGET_POS, EndpointFilter::Data)? {
+                entries[k / levels.len()].push((levels[k % levels.len()], rv));
             }
+            Ok::<(), DtaError>(())
+        })?;
+        for ((unit, _), entries) in units.into_iter().zip(entries) {
             if entries.is_empty() {
                 return Err(DtaError::MissingCharacterization {
                     key: format!("datapath unit {unit:?}"),
@@ -258,23 +264,17 @@ fn training_operands(unit: FuncUnit, level: u8) -> (u32, u32) {
     }
 }
 
-/// Runs the directed sequence `nop*; op; nop*` through co-simulation and
-/// measures the target instruction's data-endpoint DTS via Algorithm 2.
-fn measure_data_dts(
-    pipeline: &PipelineNetlist,
-    engine: &DtsEngine<'_>,
-    opcode: Opcode,
-    a: u32,
-    b: u32,
-    strategy: SimStrategy,
-    stats: &mut CosimStats,
-) -> Result<Option<CanonicalRv>> {
+/// Stream position of the measured instruction in [`directed_stream`].
+const TARGET_POS: usize = 3;
+
+/// The directed sequence `nop*; op; nop*` whose co-simulation measures
+/// the target instruction's data-endpoint DTS via Algorithm 2.
+fn directed_stream(opcode: Opcode, a: u32, b: u32) -> Vec<Retired> {
     let target = match opcode {
         o if o.is_rtype() => Instruction::rtype(o, 3, 1, 2),
         o => Instruction::itype(o, 3, 1, 0),
     };
-    let mut stream: Vec<Retired> = Vec::new();
-    let mk_nop = |idx: u32| Retired {
+    let nop = |idx: u32| Retired {
         index: idx,
         inst: Instruction::nop(),
         rs1_val: 0,
@@ -285,10 +285,7 @@ fn measure_data_dts(
         taken: None,
         next_pc: idx + 1,
     };
-    for i in 0..3u32 {
-        stream.push(mk_nop(i));
-    }
-    let target_pos = stream.len();
+    let mut stream: Vec<Retired> = (0..3u32).map(nop).collect();
     stream.push(Retired {
         index: 3,
         inst: target,
@@ -300,27 +297,8 @@ fn measure_data_dts(
         taken: None,
         next_pc: 4,
     });
-    for i in 4..6u32 {
-        stream.push(mk_nop(i));
-    }
-    let mut cosim = CoSim::with_strategy(pipeline, strategy);
-    let mut activity = ActivityTrace::new(pipeline.netlist().gate_count());
-    let mut fed = Vec::new();
-    for r in &stream {
-        fed.push(Some(r.index));
-        activity.push(cosim.feed(Some(*r))?);
-    }
-    for _ in 0..STAGE_COUNT {
-        fed.push(None);
-        activity.push(cosim.feed(None)?);
-    }
-    stats.absorb(&cosim);
-    let trace = CoSimTrace {
-        activity,
-        fed,
-        retired: stream,
-    };
-    engine.inst_dts(&trace, target_pos, EndpointFilter::Data)
+    stream.extend((4..6u32).map(nop));
+    stream
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //!    `Tie` constants. Sound for every trace, including the synthetic
 //!    datapath-training streams.
 //! 2. **Program** — value sets mirroring what
-//!    `terse_sim::cosim::CoSim::force_banks` can force when the driven
+//!    `terse_sim::cosim`'s `force_banks` can force when the driven
 //!    streams come from *this* program: instruction encodings, decoded
 //!    control words, immediates, and interval-analysis value hulls for
 //!    the operand buses (from `terse-analyze`'s dataflow framework).
@@ -234,10 +234,10 @@ impl PrunePlan {
     }
 }
 
-/// The flip-flop banks `CoSim::force_banks` forces from architectural
-/// state. These must never default to "never forced" in the abstraction
-/// — an absent entry would let the fixpoint claim reset-zero stability
-/// for a bank the testbench actually drives.
+/// The flip-flop banks `terse_sim::cosim`'s `force_banks` forces from
+/// architectural state. These must never default to "never forced" in
+/// the abstraction — an absent entry would let the fixpoint claim
+/// reset-zero stability for a bank the testbench actually drives.
 const FORCED_FF_BANKS: &[&str] = &[
     "b0.pc",
     "b1.instr",

@@ -14,10 +14,20 @@
 use crate::bitset::BitSet;
 use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
+use crate::sim::bus_bit;
 use crate::tape::{CompiledTape, TapeRun};
 
 /// Maximum lanes per packed word.
 pub const LANES: usize = 64;
+
+/// The word with bits `0..lanes` set (`lanes ≤ 64`).
+pub fn lane_mask(lanes: usize) -> u64 {
+    if lanes >= LANES {
+        u64::MAX
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
 
 /// A 64-lane bit-parallel simulator over a [`Netlist`].
 ///
@@ -101,18 +111,12 @@ impl<'n> PackedSimulator<'n> {
             .gate_ids()
             .filter(|&g| matches!(netlist.kind(g), GateKind::FlipFlop | GateKind::Input))
             .collect();
-        let mut slab = vec![0u64; n];
-        for id in netlist.gate_ids() {
-            if let GateKind::Tie(true) = netlist.kind(id) {
-                slab[id.index()] = u64::MAX;
-            }
-        }
         let dirty = vec![0u64; tape.dirty_words()];
-        PackedSimulator {
+        let mut sim = PackedSimulator {
             netlist,
             tape,
-            lanes: lanes.clamp(1, LANES) as u32,
-            slab,
+            lanes: 1,
+            slab: vec![0u64; n],
             ff_next: vec![0u64; n],
             forced_mask: vec![0u64; n],
             forced_val: vec![0u64; n],
@@ -125,7 +129,35 @@ impl<'n> PackedSimulator<'n> {
             cycle: 0,
             ops_executed: 0,
             ops_skipped: 0,
+        };
+        sim.reset(lanes);
+        sim
+    }
+
+    /// Returns every lane to the freshly built state — all nets low, ties
+    /// at their constant, nothing forced or captured, cycle 0 — now with
+    /// `lanes` live lanes (clamped to `1..=64`). The compiled tape is kept,
+    /// so independent runs reuse one compilation; the cumulative
+    /// [`PackedSimulator::ops_executed`] and
+    /// [`PackedSimulator::ops_skipped`] counters keep accumulating.
+    pub fn reset(&mut self, lanes: usize) {
+        self.lanes = lanes.clamp(1, LANES) as u32;
+        for id in self.netlist.gate_ids() {
+            self.slab[id.index()] = match self.netlist.kind(id) {
+                GateKind::Tie(true) => u64::MAX,
+                _ => 0,
+            };
         }
+        self.ff_next.fill(0);
+        self.forced_mask.fill(0);
+        self.forced_val.fill(0);
+        self.dirty.fill(0);
+        for &s in &self.touched {
+            self.toggle[s as usize] = 0;
+        }
+        self.touched.clear();
+        self.settled = false;
+        self.cycle = 0;
     }
 
     /// Seeds the packed state from a scalar simulator's state (lane 0),
@@ -251,11 +283,22 @@ impl<'n> PackedSimulator<'n> {
     ///
     /// Panics if any bus bit is not an input port.
     pub fn set_input_bus(&mut self, name: &str, lane: usize, value: u64) -> crate::Result<()> {
-        let ids: Vec<GateId> = self.netlist.bus(name)?.to_vec();
-        for (i, g) in ids.into_iter().enumerate() {
-            self.set_input(g, lane, (value >> i.min(63)) & 1 == 1 && i < 64);
-        }
+        let netlist = self.netlist;
+        self.set_input_ids(netlist.bus(name)?, lane, value);
         Ok(())
+    }
+
+    /// Drives the input ports `ids` in one lane from an integer, bit `i`
+    /// to `ids[i]` (bits past 63 read as zero) —
+    /// [`PackedSimulator::set_input_bus`] over an already resolved bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is not an input port or `lane` is out of range.
+    pub fn set_input_ids(&mut self, ids: &[GateId], lane: usize, value: u64) {
+        for (i, &g) in ids.iter().enumerate() {
+            self.set_input(g, lane, bus_bit(value, i));
+        }
     }
 
     /// Forces a flip-flop's Q output in one lane for the next cycle.
@@ -283,11 +326,22 @@ impl<'n> PackedSimulator<'n> {
     ///
     /// Panics if any bus bit is not a flip-flop.
     pub fn force_ff_bus(&mut self, name: &str, lane: usize, value: u64) -> crate::Result<()> {
-        let ids: Vec<GateId> = self.netlist.bus(name)?.to_vec();
-        for (i, g) in ids.into_iter().enumerate() {
-            self.force_ff(g, lane, i < 64 && (value >> i) & 1 == 1);
-        }
+        let netlist = self.netlist;
+        self.force_ff_ids(netlist.bus(name)?, lane, value);
         Ok(())
+    }
+
+    /// Forces the flip-flops `ids` in one lane from an integer, bit `i` to
+    /// `ids[i]` (bits past 63 read as zero) —
+    /// [`PackedSimulator::force_ff_bus`] over an already resolved bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is not a flip-flop or `lane` is out of range.
+    pub fn force_ff_ids(&mut self, ids: &[GateId], lane: usize, value: u64) {
+        for (i, &g) in ids.iter().enumerate() {
+            self.force_ff(g, lane, bus_bit(value, i));
+        }
     }
 
     fn force_lane(&mut self, id: GateId, lane: usize, value: bool) {
@@ -407,6 +461,24 @@ impl<'n> PackedSimulator<'n> {
             }
         }
         act
+    }
+
+    /// The activation sets of the most recent cycle for the lanes set in
+    /// `lanes` (bit `l` = lane `l`), indexed by lane; unselected lanes get
+    /// an empty set. One pass over the touched slots builds them all, and
+    /// each equals [`PackedSimulator::lane_activation`] of its lane.
+    pub fn lane_activations(&self, lanes: u64) -> Vec<BitSet> {
+        let live = lanes & lane_mask(self.lanes as usize);
+        let n = self.netlist.gate_count();
+        let mut acts = vec![BitSet::new(n); self.lanes as usize];
+        for &s in &self.touched {
+            let mut w = self.toggle[s as usize] & live;
+            while w != 0 {
+                acts[w.trailing_zeros() as usize].insert(s as usize);
+                w &= w - 1;
+            }
+        }
+        acts
     }
 }
 

@@ -14,6 +14,12 @@ use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
 use crate::packed::PackedSimulator;
 
+/// Bit `i` of a bus value driven LSB first; bits past 63 read as zero.
+#[inline]
+pub(crate) fn bus_bit(value: u64, i: usize) -> bool {
+    i < 64 && (value >> i) & 1 == 1
+}
+
 /// How [`Simulator::step`] propagates values through combinational logic.
 ///
 /// All four strategies produce bit-identical activation sets and values;
@@ -250,11 +256,22 @@ impl<'n> Simulator<'n> {
     ///
     /// Panics if any bus bit is not an input port.
     pub fn set_input_bus(&mut self, name: &str, value: u64) -> crate::Result<()> {
-        let ids: Vec<GateId> = self.netlist.bus(name)?.to_vec();
-        for (i, g) in ids.into_iter().enumerate() {
-            self.set_input(g, (value >> i.min(63)) & 1 == 1 && i < 64);
-        }
+        let netlist = self.netlist;
+        self.set_input_ids(netlist.bus(name)?, value);
         Ok(())
+    }
+
+    /// Drives the input ports `ids` from an integer, bit `i` to `ids[i]`
+    /// (bits past 63 read as zero) — [`Simulator::set_input_bus`] over an
+    /// already resolved bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is not an input port.
+    pub fn set_input_ids(&mut self, ids: &[GateId], value: u64) {
+        for (i, &g) in ids.iter().enumerate() {
+            self.set_input(g, bus_bit(value, i));
+        }
     }
 
     /// Forces a flip-flop's Q output for the next cycle (overrides capture).
@@ -281,11 +298,22 @@ impl<'n> Simulator<'n> {
     ///
     /// Panics if any bus bit is not a flip-flop.
     pub fn force_ff_bus(&mut self, name: &str, value: u64) -> crate::Result<()> {
-        let ids: Vec<GateId> = self.netlist.bus(name)?.to_vec();
-        for (i, g) in ids.into_iter().enumerate() {
-            self.force_ff(g, i < 64 && (value >> i) & 1 == 1);
-        }
+        let netlist = self.netlist;
+        self.force_ff_ids(netlist.bus(name)?, value);
         Ok(())
+    }
+
+    /// Forces the flip-flops `ids` from an integer, bit `i` to `ids[i]`
+    /// (bits past 63 read as zero) — [`Simulator::force_ff_bus`] over an
+    /// already resolved bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is not a flip-flop.
+    pub fn force_ff_ids(&mut self, ids: &[GateId], value: u64) {
+        for (i, &g) in ids.iter().enumerate() {
+            self.force_ff(g, bus_bit(value, i));
+        }
     }
 
     /// Advances one clock cycle and returns the activation set `VCD(t)`:

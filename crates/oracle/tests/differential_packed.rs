@@ -12,13 +12,17 @@
 
 use oracle::gen;
 use proptest::prelude::*;
-use terse_isa::assemble;
+use terse_isa::{assemble, Instruction, Opcode};
 use terse_netlist::gate::GateKind;
+use terse_netlist::pipeline::STAGE_COUNT;
 use terse_netlist::pipeline::{PipelineConfig, PipelineNetlist};
 use terse_netlist::sim::{SimStrategy, Simulator};
+use terse_netlist::ActivityTrace;
 use terse_netlist::PackedSimulator;
 use terse_sim::correction::CorrectionScheme;
+use terse_sim::cosim::{run_streams, CoSim, CoSimTrace, CosimStats};
 use terse_sim::features::InstFeatures;
+use terse_sim::machine::Retired;
 use terse_sim::monte_carlo::{error_counts, error_counts_scalar, InstErrorModel, MonteCarloConfig};
 use terse_sta::delay::DelayLibrary;
 use terse_sta::variation::{ChipSample, VariationModel};
@@ -260,5 +264,101 @@ fn forced_ff_bus_writes_are_lane_exact_on_the_pipeline() {
             );
         }
         assert!(diverged_lanes > 0, "stimulus must activate logic");
+    }
+}
+
+/// A random retired instruction: any opcode, random fields and operand
+/// values, and the outcome fields its opcode carries.
+fn random_retired(rng: &mut Xoshiro256, index: u32) -> Retired {
+    let opcode = Opcode::ALL[rng.next_below(Opcode::ALL.len() as u64) as usize];
+    let reg = |rng: &mut Xoshiro256| rng.next_below(32) as u8;
+    let inst = Instruction {
+        opcode,
+        rd: reg(rng),
+        rs1: reg(rng),
+        rs2: reg(rng),
+        imm: rng.next_below(1 << 16) as i32 - (1 << 15),
+    };
+    let word = |rng: &mut Xoshiro256| rng.next_u64() as u32;
+    Retired {
+        index,
+        inst,
+        rs1_val: word(rng),
+        rs2_val: word(rng),
+        result: word(rng),
+        mem_addr: opcode.is_memory().then(|| word(rng) & 0xFFF),
+        loaded: (opcode == Opcode::Ld).then(|| word(rng)),
+        taken: opcode.is_branch().then(|| rng.next_u64() & 1 == 1),
+        next_pc: rng.next_below(1 << 12) as u32,
+    }
+}
+
+/// The reference: one fresh scalar co-simulator per stream.
+fn scalar_trace(p: &PipelineNetlist, retired: &[Retired]) -> CoSimTrace {
+    let mut cosim = CoSim::with_strategy(p, SimStrategy::EventDriven);
+    let mut activity = ActivityTrace::new(p.netlist().gate_count());
+    let mut fed = Vec::new();
+    for r in retired {
+        fed.push(Some(r.index));
+        activity.push(cosim.feed(Some(*r)).expect("feed"));
+    }
+    for _ in 0..STAGE_COUNT {
+        fed.push(None);
+        activity.push(cosim.feed(None).expect("drain"));
+    }
+    CoSimTrace {
+        activity,
+        fed,
+        retired: retired.to_vec(),
+    }
+}
+
+/// Stream counts below, at and above the 64-lane word, with ragged last
+/// batches.
+const STREAM_COUNTS: [usize; 6] = [1, 2, 63, 64, 65, 130];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The lane-batched training co-simulation is bitwise identical to
+    /// co-simulating every stream on its own scalar simulator: activation
+    /// sets, feed schedule and retirements, for every count in
+    /// [`STREAM_COUNTS`] and unequal stream lengths down to a single
+    /// instruction.
+    #[test]
+    fn lane_batched_streams_match_per_stream_scalar_cosim(seed in 0u64..1_000_000) {
+        let p = PipelineNetlist::build(PipelineConfig::default()).expect("pipeline");
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x1A4E);
+        for count in STREAM_COUNTS {
+            let short = rng.next_below(count as u64) as usize;
+            let streams: Vec<Vec<Retired>> = (0..count)
+                .map(|k| {
+                    let len = if k == short { 1 } else { 1 + rng.next_below(10) as usize };
+                    let base = rng.next_below(1 << 10) as u32;
+                    (0..len).map(|i| random_retired(&mut rng, base + i as u32)).collect()
+                })
+                .collect();
+            let mut stats = CosimStats::default();
+            let mut seen = 0usize;
+            run_streams::<terse_sim::SimError>(
+                &p,
+                streams.clone(),
+                SimStrategy::Packed,
+                &mut stats,
+                |k, trace| {
+                    let want = scalar_trace(&p, &streams[k]);
+                    assert_eq!(k, seen, "traces arrive in stream order");
+                    assert_eq!(want.activity, trace.activity, "{count} streams, stream {k}: activation sets");
+                    assert_eq!(want.fed, trace.fed, "{count} streams, stream {k}: feed schedule");
+                    assert_eq!(want.retired, trace.retired, "{count} streams, stream {k}: retirements");
+                    seen += 1;
+                    Ok(())
+                },
+            )
+            .expect("lane co-simulation");
+            prop_assert_eq!(seen, count);
+            let cycles: usize = streams.iter().map(|s| s.len() + STAGE_COUNT).sum();
+            prop_assert_eq!(stats.cycles, cycles as u64);
+        }
     }
 }

@@ -12,13 +12,18 @@
 //! activation sets genuinely reflect instruction sequence and operands.
 //! Banks that only feed measurement endpoints (fetch/decode control clouds)
 //! are left to capture naturally.
+//!
+//! Model training co-simulates many short independent streams, each from a
+//! flushed pipeline; [`run_streams`] runs them 64 at a time, one per lane
+//! of a [`PackedSimulator`].
 
 use crate::machine::{Machine, Retired};
 use crate::Result;
 use std::collections::VecDeque;
 use terse_isa::{Opcode, Program};
+use terse_netlist::packed::LANES;
 use terse_netlist::pipeline::{PipelineNetlist, STAGE_COUNT};
-use terse_netlist::{ActivityTrace, SimStrategy, Simulator};
+use terse_netlist::{ActivityTrace, GateId, PackedSimulator, SimStrategy, Simulator};
 
 /// EX-stage control word for an opcode, matching the pipeline netlist's
 /// `b3.ex_ctl` bit assignments:
@@ -95,6 +100,21 @@ pub struct CoSimTrace {
 }
 
 impl CoSimTrace {
+    /// The trace of a stream fed from a flushed pipeline and followed by
+    /// `STAGE_COUNT` drain bubbles.
+    fn of_stream(activity: ActivityTrace, retired: Vec<Retired>) -> Self {
+        let fed = retired
+            .iter()
+            .map(|r| Some(r.index))
+            .chain([None; STAGE_COUNT])
+            .collect();
+        CoSimTrace {
+            activity,
+            fed,
+            retired,
+        }
+    }
+
     /// Number of simulated cycles.
     pub fn cycles(&self) -> usize {
         self.fed.len()
@@ -107,11 +127,191 @@ impl CoSimTrace {
     }
 }
 
+/// Gate ids of every bus [`force_banks`] drives, resolved from their names
+/// once per co-simulator instead of once per cycle.
+#[derive(Debug, Clone, Copy)]
+struct Banks<'n> {
+    b0_pc: &'n [GateId],
+    imem_instr: &'n [GateId],
+    redirect_taken: &'n [GateId],
+    redirect_target: &'n [GateId],
+    b1_instr: &'n [GateId],
+    b1_pc: &'n [GateId],
+    b2_rs1: &'n [GateId],
+    b2_rs2: &'n [GateId],
+    b2_rd: &'n [GateId],
+    b2_imm: &'n [GateId],
+    b2_op_ctl: &'n [GateId],
+    b2_pc: &'n [GateId],
+    rf_rs1_data: &'n [GateId],
+    rf_rs2_data: &'n [GateId],
+    bypass_ex: &'n [GateId],
+    bypass_me: &'n [GateId],
+    fwd_ex_rd: &'n [GateId],
+    fwd_me_rd: &'n [GateId],
+    b3_op_a: &'n [GateId],
+    b3_op_b: &'n [GateId],
+    b3_store: &'n [GateId],
+    b3_ex_ctl: &'n [GateId],
+    b4_alu: &'n [GateId],
+    b4_addr: &'n [GateId],
+    b4_store: &'n [GateId],
+    b4_mctl: &'n [GateId],
+    dmem_rdata: &'n [GateId],
+    b5_wb: &'n [GateId],
+    b5_wctl: &'n [GateId],
+}
+
+impl<'n> Banks<'n> {
+    fn resolve(pipeline: &'n PipelineNetlist) -> Result<Self> {
+        let nl = pipeline.netlist();
+        let bus = |name: &str| nl.bus(name).map_err(crate::SimError::from);
+        let taken = bus("redirect.taken")?;
+        Ok(Banks {
+            b0_pc: bus("b0.pc")?,
+            imem_instr: bus("imem.instr")?,
+            // Only the first wire carries the redirect flag.
+            redirect_taken: &taken[..taken.len().min(1)],
+            redirect_target: bus("redirect.target")?,
+            b1_instr: bus("b1.instr")?,
+            b1_pc: bus("b1.pc")?,
+            b2_rs1: bus("b2.rs1")?,
+            b2_rs2: bus("b2.rs2")?,
+            b2_rd: bus("b2.rd")?,
+            b2_imm: bus("b2.imm")?,
+            b2_op_ctl: bus("b2.op_ctl")?,
+            b2_pc: bus("b2.pc")?,
+            rf_rs1_data: bus("rf.rs1_data")?,
+            rf_rs2_data: bus("rf.rs2_data")?,
+            bypass_ex: bus("bypass.ex")?,
+            bypass_me: bus("bypass.me")?,
+            fwd_ex_rd: bus("fwd.ex_rd")?,
+            fwd_me_rd: bus("fwd.me_rd")?,
+            b3_op_a: bus("b3.op_a")?,
+            b3_op_b: bus("b3.op_b")?,
+            b3_store: bus("b3.store")?,
+            b3_ex_ctl: bus("b3.ex_ctl")?,
+            b4_alu: bus("b4.alu")?,
+            b4_addr: bus("b4.addr")?,
+            b4_store: bus("b4.store")?,
+            b4_mctl: bus("b4.mctl")?,
+            dmem_rdata: bus("dmem.rdata")?,
+            b5_wb: bus("b5.wb")?,
+            b5_wctl: bus("b5.wctl")?,
+        })
+    }
+}
+
+/// Where [`force_banks`] writes one cycle's stimulus: a scalar
+/// [`Simulator`], or one lane of a [`PackedSimulator`].
+trait BankSink {
+    fn force_ff(&mut self, ids: &[GateId], value: u64);
+    fn set_input(&mut self, ids: &[GateId], value: u64);
+}
+
+impl BankSink for Simulator<'_> {
+    fn force_ff(&mut self, ids: &[GateId], value: u64) {
+        self.force_ff_ids(ids, value);
+    }
+    fn set_input(&mut self, ids: &[GateId], value: u64) {
+        self.set_input_ids(ids, value);
+    }
+}
+
+/// One lane of a packed simulator.
+struct Lane<'a, 'n>(&'a mut PackedSimulator<'n>, usize);
+
+impl BankSink for Lane<'_, '_> {
+    fn force_ff(&mut self, ids: &[GateId], value: u64) {
+        self.0.force_ff_ids(ids, self.1, value);
+    }
+    fn set_input(&mut self, ids: &[GateId], value: u64) {
+        self.0.set_input_ids(ids, self.1, value);
+    }
+}
+
+/// Forces the stage input banks and drives the input ports from the
+/// pipeline occupancy `stages` (`stages[s]` is the instruction in stage
+/// `s`, IF = 0 … WB = 5).
+fn force_banks(
+    banks: &Banks<'_>,
+    stages: [Option<&Retired>; STAGE_COUNT],
+    d: &mut impl BankSink,
+) {
+    let enc = |r: &Retired| r.inst.encode().unwrap_or(0) as u64;
+    // Stage 0 inputs: the instruction entering IF.
+    if let Some(i0) = stages[0] {
+        d.force_ff(banks.b0_pc, (i0.index as u64) << 2);
+        d.set_input(banks.imem_instr, enc(i0));
+    }
+    // Redirect: if the instruction in ID is a taken branch, IF sees a
+    // redirect to its target.
+    let id = stages[1];
+    let taken = id.and_then(|r| r.taken).unwrap_or(false)
+        || id.is_some_and(|r| matches!(r.inst.opcode, Opcode::Jal | Opcode::Jr));
+    d.set_input(banks.redirect_taken, u64::from(taken));
+    d.set_input(
+        banks.redirect_target,
+        id.map(|r| (r.next_pc as u64) << 2).unwrap_or(0),
+    );
+    // Stage 1 inputs (ID): the fetched instruction.
+    if let Some(i1) = id {
+        d.force_ff(banks.b1_instr, enc(i1));
+        d.force_ff(banks.b1_pc, (i1.index as u64) << 2);
+    }
+    // Stage 2 inputs (RA): decoded fields.
+    if let Some(i2) = stages[2] {
+        d.force_ff(banks.b2_rs1, i2.inst.rs1 as u64);
+        d.force_ff(banks.b2_rs2, i2.inst.rs2 as u64);
+        d.force_ff(banks.b2_rd, i2.inst.rd as u64);
+        d.force_ff(banks.b2_imm, u64::from(i2.inst.imm.cast_unsigned()));
+        d.force_ff(banks.b2_op_ctl, id_control_word(i2.inst.opcode));
+        d.force_ff(banks.b2_pc, (i2.index as u64) << 2);
+        // Register-file read data and forwarding sources.
+        d.set_input(banks.rf_rs1_data, i2.rs1_val as u64);
+        d.set_input(banks.rf_rs2_data, i2.rs2_val as u64);
+    }
+    let ex = stages[3];
+    let me = stages[4];
+    d.set_input(banks.bypass_ex, ex.map(|r| r.result as u64).unwrap_or(0));
+    d.set_input(banks.bypass_me, me.map(|r| r.result as u64).unwrap_or(0));
+    d.set_input(banks.fwd_ex_rd, ex.map(|r| r.inst.rd as u64).unwrap_or(0));
+    d.set_input(banks.fwd_me_rd, me.map(|r| r.inst.rd as u64).unwrap_or(0));
+    // Stage 3 inputs (EX): operand values and control.
+    if let Some(i3) = ex {
+        let use_imm = i3.inst.opcode.is_itype() || i3.inst.opcode.is_memory();
+        let op_b = if use_imm {
+            i3.inst.imm.cast_unsigned()
+        } else {
+            i3.rs2_val
+        };
+        d.force_ff(banks.b3_op_a, i3.rs1_val as u64);
+        d.force_ff(banks.b3_op_b, op_b as u64);
+        d.force_ff(banks.b3_store, i3.rs2_val as u64);
+        d.force_ff(banks.b3_ex_ctl, ex_control_word(i3.inst.opcode));
+    }
+    // Stage 4 inputs (ME): results and memory interface.
+    if let Some(i4) = me {
+        d.force_ff(banks.b4_alu, i4.result as u64);
+        d.force_ff(banks.b4_addr, i4.mem_addr.unwrap_or(0) as u64);
+        d.force_ff(banks.b4_store, i4.rs2_val as u64);
+        d.force_ff(banks.b4_mctl, me_control_word(i4.inst.opcode));
+        d.set_input(banks.dmem_rdata, i4.loaded.unwrap_or(0) as u64);
+    }
+    // Stage 5 inputs (WB).
+    if let Some(i5) = stages[5] {
+        d.force_ff(banks.b5_wb, i5.result as u64);
+        d.force_ff(banks.b5_wctl, wb_control_word(i5.inst.opcode));
+    }
+}
+
 /// Drives a [`PipelineNetlist`] from retired-instruction streams.
 #[derive(Debug)]
 pub struct CoSim<'n> {
     pipeline: &'n PipelineNetlist,
     sim: Simulator<'n>,
+    /// Bus gate ids, resolved at the first [`CoSim::feed`].
+    banks: Option<Banks<'n>>,
     /// Stage occupancy window: `window[s]` is the instruction currently in
     /// stage `s` (IF = 0 … WB = 5).
     window: VecDeque<Option<Retired>>,
@@ -135,6 +335,7 @@ impl<'n> CoSim<'n> {
         CoSim {
             pipeline,
             sim: Simulator::with_strategy(pipeline.netlist(), strategy),
+            banks: None,
             window,
         }
     }
@@ -169,91 +370,16 @@ impl<'n> CoSim<'n> {
     /// Returns [`crate::SimError::Netlist`] on bank mismatches (impossible
     /// for pipelines built by `PipelineNetlist::build`).
     pub fn feed(&mut self, r: Option<Retired>) -> Result<terse_netlist::BitSet> {
-        failpoints::fail_point!("sim::cosim", |_| Err(crate::SimError::Netlist(
-            "injected co-simulation fault".into()
-        )));
+        cosim_fail_point()?;
+        let banks = match self.banks {
+            Some(b) => b,
+            None => *self.banks.insert(Banks::resolve(self.pipeline)?),
+        };
         self.window.pop_back();
         self.window.push_front(r);
-        self.force_banks()?;
+        let stages = std::array::from_fn(|s| self.window[s].as_ref());
+        force_banks(&banks, stages, &mut self.sim);
         Ok(self.sim.step())
-    }
-
-    fn force_banks(&mut self) -> Result<()> {
-        let sim = &mut self.sim;
-        let enc = |r: &Retired| r.inst.encode().unwrap_or(0) as u64;
-        // Stage 0 inputs: the instruction entering IF.
-        if let Some(Some(i0)) = self.window.front().map(|x| x.as_ref()) {
-            sim.force_ff_bus("b0.pc", (i0.index as u64) << 2)?;
-            sim.set_input_bus("imem.instr", enc(i0))?;
-        }
-        // Redirect: if the instruction in ID is a taken branch, IF sees a
-        // redirect to its target.
-        let id = self.window.get(1).and_then(|x| x.as_ref());
-        let taken = id.and_then(|r| r.taken).unwrap_or(false)
-            || id.is_some_and(|r| matches!(r.inst.opcode, Opcode::Jal | Opcode::Jr));
-        let redirect = self
-            .pipeline
-            .netlist()
-            .bus("redirect.taken")?
-            .first()
-            .copied();
-        if let Some(g) = redirect {
-            sim.set_input(g, taken);
-        }
-        sim.set_input_bus(
-            "redirect.target",
-            id.map(|r| (r.next_pc as u64) << 2).unwrap_or(0),
-        )?;
-        // Stage 1 inputs (ID): the fetched instruction.
-        if let Some(i1) = id {
-            sim.force_ff_bus("b1.instr", enc(i1))?;
-            sim.force_ff_bus("b1.pc", (i1.index as u64) << 2)?;
-        }
-        // Stage 2 inputs (RA): decoded fields.
-        if let Some(i2) = self.window.get(2).and_then(|x| x.as_ref()) {
-            sim.force_ff_bus("b2.rs1", i2.inst.rs1 as u64)?;
-            sim.force_ff_bus("b2.rs2", i2.inst.rs2 as u64)?;
-            sim.force_ff_bus("b2.rd", i2.inst.rd as u64)?;
-            sim.force_ff_bus("b2.imm", u64::from(i2.inst.imm.cast_unsigned()))?;
-            sim.force_ff_bus("b2.op_ctl", id_control_word(i2.inst.opcode))?;
-            sim.force_ff_bus("b2.pc", (i2.index as u64) << 2)?;
-            // Register-file read data and forwarding sources.
-            sim.set_input_bus("rf.rs1_data", i2.rs1_val as u64)?;
-            sim.set_input_bus("rf.rs2_data", i2.rs2_val as u64)?;
-        }
-        let ex = self.window.get(3).and_then(|x| x.as_ref());
-        let me = self.window.get(4).and_then(|x| x.as_ref());
-        sim.set_input_bus("bypass.ex", ex.map(|r| r.result as u64).unwrap_or(0))?;
-        sim.set_input_bus("bypass.me", me.map(|r| r.result as u64).unwrap_or(0))?;
-        sim.set_input_bus("fwd.ex_rd", ex.map(|r| r.inst.rd as u64).unwrap_or(0))?;
-        sim.set_input_bus("fwd.me_rd", me.map(|r| r.inst.rd as u64).unwrap_or(0))?;
-        // Stage 3 inputs (EX): operand values and control.
-        if let Some(i3) = ex {
-            let use_imm = i3.inst.opcode.is_itype() || i3.inst.opcode.is_memory();
-            let op_b = if use_imm {
-                i3.inst.imm.cast_unsigned()
-            } else {
-                i3.rs2_val
-            };
-            sim.force_ff_bus("b3.op_a", i3.rs1_val as u64)?;
-            sim.force_ff_bus("b3.op_b", op_b as u64)?;
-            sim.force_ff_bus("b3.store", i3.rs2_val as u64)?;
-            sim.force_ff_bus("b3.ex_ctl", ex_control_word(i3.inst.opcode))?;
-        }
-        // Stage 4 inputs (ME): results and memory interface.
-        if let Some(i4) = me {
-            sim.force_ff_bus("b4.alu", i4.result as u64)?;
-            sim.force_ff_bus("b4.addr", i4.mem_addr.unwrap_or(0) as u64)?;
-            sim.force_ff_bus("b4.store", i4.rs2_val as u64)?;
-            sim.force_ff_bus("b4.mctl", me_control_word(i4.inst.opcode))?;
-            sim.set_input_bus("dmem.rdata", i4.loaded.unwrap_or(0) as u64)?;
-        }
-        // Stage 5 inputs (WB).
-        if let Some(i5) = self.window.get(5).and_then(|x| x.as_ref()) {
-            sim.force_ff_bus("b5.wb", i5.result as u64)?;
-            sim.force_ff_bus("b5.wctl", wb_control_word(i5.inst.opcode))?;
-        }
-        Ok(())
     }
 
     /// Runs a whole program through the machine and the pipeline netlist,
@@ -313,6 +439,101 @@ impl<'n> CoSim<'n> {
             retired,
         })
     }
+}
+
+/// The injected-fault hook of every co-simulation entry point.
+fn cosim_fail_point() -> Result<()> {
+    failpoints::fail_point!("sim::cosim", |_| Err(crate::SimError::Netlist(
+        "injected co-simulation fault".into()
+    )));
+    Ok(())
+}
+
+/// Co-simulates independent retired-instruction streams — each from a
+/// flushed pipeline, followed by `STAGE_COUNT` drain cycles — and hands
+/// `visit(k, trace)` the trace of stream `k`, in stream order. Streams are
+/// pulled from the iterator only as they are simulated. Every
+/// trace is bitwise identical to feeding its stream through a fresh
+/// [`CoSim`] of any strategy.
+///
+/// Under [`SimStrategy::Packed`] the streams run 64 at a time, one per
+/// lane of a single [`PackedSimulator`]: the tape is compiled once per
+/// call, a lane whose stream is shorter than its batch's longest is fed
+/// drain bubbles whose cycles are dropped, and at most one batch of
+/// traces is alive at a time. The other strategies run the streams one
+/// [`CoSim`] at a time, as the reference.
+///
+/// The work counters go into `stats`: `cycles` counts each stream's own
+/// cycles (the same for every strategy), `gates_evaluated` the gate or
+/// tape-op evaluations actually performed — under `Packed` one tape op
+/// covers all 64 lanes.
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::Netlist`] on bank mismatches (impossible
+/// for pipelines built by `PipelineNetlist::build`) and the first error
+/// `visit` returns.
+pub fn run_streams<E: From<crate::SimError>>(
+    pipeline: &PipelineNetlist,
+    streams: impl IntoIterator<Item = Vec<Retired>>,
+    strategy: SimStrategy,
+    stats: &mut CosimStats,
+    mut visit: impl FnMut(usize, CoSimTrace) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    let gates = pipeline.netlist().gate_count();
+    if strategy != SimStrategy::Packed {
+        for (k, retired) in streams.into_iter().enumerate() {
+            let mut cosim = CoSim::with_strategy(pipeline, strategy);
+            let mut activity = ActivityTrace::new(gates);
+            for r in retired.iter().copied().map(Some).chain([None; STAGE_COUNT]) {
+                activity.push(cosim.feed(r)?);
+            }
+            stats.absorb(&cosim);
+            visit(k, CoSimTrace::of_stream(activity, retired))?;
+        }
+        return Ok(());
+    }
+    let banks = Banks::resolve(pipeline)?;
+    let mut sim = PackedSimulator::new(pipeline.netlist(), LANES);
+    let mut streams = streams.into_iter();
+    let mut next = 0;
+    loop {
+        let batch: Vec<Vec<Retired>> = streams.by_ref().take(LANES).collect();
+        if batch.is_empty() {
+            break;
+        }
+        cosim_fail_point()?;
+        sim.reset(batch.len());
+        let lens: Vec<usize> = batch.iter().map(|r| r.len() + STAGE_COUNT).collect();
+        let cycles = lens.iter().copied().max().unwrap_or(0);
+        let mut activity: Vec<ActivityTrace> =
+            lens.iter().map(|_| ActivityTrace::new(gates)).collect();
+        for t in 0..cycles {
+            let mut alive = 0u64;
+            for (lane, retired) in batch.iter().enumerate() {
+                // Stage `s` holds the instruction fed `s` cycles ago.
+                let stages = std::array::from_fn(|s| t.checked_sub(s).and_then(|k| retired.get(k)));
+                force_banks(&banks, stages, &mut Lane(&mut sim, lane));
+                if t < lens[lane] {
+                    alive |= 1 << lane;
+                }
+            }
+            sim.step();
+            for (lane, act) in sim.lane_activations(alive).into_iter().enumerate() {
+                if alive >> lane & 1 == 1 {
+                    activity[lane].push(act);
+                }
+            }
+        }
+        for (retired, activity) in batch.into_iter().zip(activity) {
+            stats.cycles += activity.len() as u64;
+            visit(next, CoSimTrace::of_stream(activity, retired))?;
+            next += 1;
+        }
+    }
+    stats.gates_evaluated += sim.ops_executed();
+    stats.tape_ops_skipped += sim.ops_skipped();
+    Ok(())
 }
 
 /// Aggregated co-simulation work counters, accumulated across many

@@ -50,12 +50,13 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::rc::Rc;
 use terse_isa::Program;
+use terse_netlist::packed::lane_mask;
 use terse_sta::variation::ChipSample;
 use terse_stats::rng::Xoshiro256;
 
 /// Chips evaluated per packed lane group (one program execution serves one
 /// group; see the module docs).
-pub const LANE_GROUP: usize = 64;
+pub const LANE_GROUP: usize = terse_netlist::packed::LANES;
 
 /// An instruction error model queried by the Monte Carlo engine.
 ///
@@ -306,15 +307,6 @@ where
     Ok(errors)
 }
 
-/// The live-lane mask of a (possibly ragged) lane group of `len` chips.
-fn full_mask(len: usize) -> u64 {
-    if len >= LANE_GROUP {
-        u64::MAX
-    } else {
-        (1u64 << len) - 1
-    }
-}
-
 /// Mean live-lane occupancy of the packed grid for a given chip count: 1.0
 /// when `chips` is a multiple of [`LANE_GROUP`], lower when the final
 /// ragged group leaves lanes idle.
@@ -373,7 +365,7 @@ where
                 model,
                 group_chips,
                 base,
-                full_mask(group_chips.len()),
+                lane_mask(group_chips.len()),
             )
         })
         .collect::<Result<_>>()?;
