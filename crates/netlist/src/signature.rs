@@ -1,17 +1,15 @@
-//! Shared activation-signature helpers.
+//! Activation-signature helpers.
 //!
-//! Two subsystems fingerprint cone-masked toggle sets: the stage-DTS memo
-//! cache in `terse_dta` (which keys memo entries on `VCD(t) ∧ cone(s)`) and
-//! the phase-sampling windowing pass in `terse_sim` (which summarizes each
-//! trace window by the masked toggle signatures of its instructions). Both
-//! must agree on what a "signature" is, so the definitions live here, next
-//! to [`BitSet::fingerprint`] — the content hash they are built from.
+//! The stage-DTS memo cache in `terse_dta` keys its entries on the
+//! signature of a cone-masked toggle set, `VCD(t) ∧ cone(s)`. The
+//! definitions live here, next to [`BitSet::fingerprint`] — the content
+//! hash they are built from.
 //!
 //! All helpers are pure functions of set *content*: insertion order, thread
 //! count and platform do not affect them, which is what lets signatures
-//! participate in bitwise-deterministic caches and clusterings.
+//! key a bitwise-deterministic cache.
 
-use crate::bitset::{mix, BitSet};
+use crate::bitset::BitSet;
 
 /// The full 64-bit signature of a toggle set — [`BitSet::fingerprint`] under
 /// its public name.
@@ -20,9 +18,9 @@ pub fn toggle_signature(toggles: &BitSet) -> u64 {
 }
 
 /// The signature of `toggles ∧ cone` without materializing the intersection
-/// — the quantity the DTS memo cache and the window fingerprints share: a
-/// stage (or stage proxy) only observes the toggles inside its fan-in cone,
-/// so two cycles that differ only outside the cone must signature equal.
+/// — the DTS memo cache's key: a stage only observes the toggles inside its
+/// fan-in cone, so two cycles that differ only outside the cone must
+/// signature equal.
 ///
 /// # Panics
 ///
@@ -35,24 +33,6 @@ pub fn masked_toggle_signature(toggles: &BitSet, cone: &BitSet) -> u64 {
 /// used by the DTS cache (`sig_mask == u64::MAX` in production).
 pub fn truncated(sig: u64, sig_mask: u64) -> u64 {
     sig & sig_mask
-}
-
-/// Order-insensitively folds one per-cycle signature into a window-level
-/// accumulator: windows are *multisets* of cycle signatures, and the
-/// accumulator must not depend on how work was sharded, so the combination
-/// is a commutative sum of mixed terms (the position argument `i` keeps a
-/// window of `n` identical cycles distinct from one of `n` different cycles
-/// that happen to collide additively).
-pub fn combine(acc: u64, sig: u64) -> u64 {
-    acc.wrapping_add(mix(sig))
-}
-
-/// Maps a signature to one of `buckets` histogram bins (used by the window
-/// feature vectors: a hashed histogram of masked signatures approximates
-/// the distribution of toggle patterns a window exposes to each cone).
-pub fn bucket(sig: u64, buckets: usize) -> usize {
-    debug_assert!(buckets > 0);
-    (mix(sig) % buckets.max(1) as u64) as usize
 }
 
 #[cfg(test)]
@@ -103,8 +83,8 @@ mod tests {
     #[test]
     fn single_toggle_windows_are_distinct() {
         // Every 1-bit toggle set inside the cone gets its own signature —
-        // single-toggle windows (the smallest non-trivial windows the phase
-        // sampler can see) must not alias each other or the quiet window.
+        // the smallest non-trivial activations must not alias each other or
+        // the quiet cycle.
         let cone = {
             let mut m = BitSet::new(128);
             for i in 0..128 {
@@ -152,25 +132,5 @@ mod tests {
         // Bits past the capacity are cleared, not kept as hidden state.
         let ragged = BitSet::from_words(&[u64::MAX, u64::MAX], 70);
         assert_eq!(ragged.count(), 70);
-    }
-
-    #[test]
-    fn combine_is_order_insensitive() {
-        let sigs = [3u64, 99, 3, 0xDEAD];
-        let fwd = sigs.iter().fold(0u64, |a, &s| combine(a, s));
-        let rev = sigs.iter().rev().fold(0u64, |a, &s| combine(a, s));
-        assert_eq!(fwd, rev);
-        // ... but multiplicity matters.
-        let twice = combine(combine(0, 3), 3);
-        let once = combine(0, 3);
-        assert_ne!(twice, once);
-    }
-
-    #[test]
-    fn bucket_in_range() {
-        for sig in [0u64, 1, u64::MAX, 0x1234_5678] {
-            assert!(bucket(sig, 16) < 16);
-            assert_eq!(bucket(sig, 1), 0);
-        }
     }
 }

@@ -97,12 +97,7 @@ impl ExecutorStats {
 
 /// FNV-1a shard hash (stable across runs and platforms).
 pub fn shard_of(id: &str, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % workers.max(1) as u64) as usize
+    (crate::fnv1a(id.as_bytes()) % workers.max(1) as u64) as usize
 }
 
 /// Runs store recovery, then the worker pool plus supervisor, until

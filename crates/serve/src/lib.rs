@@ -43,7 +43,7 @@ pub mod supervise;
 
 pub use executor::{serve, ExecutorConfig, ExecutorStats};
 pub use runner::{deterministic_section, run_job, FrameworkCache, RunOutcome};
-pub use spec::{JobSpec, PipelinePreset, SamplingSpec, WorkloadSpec};
+pub use spec::{JobSpec, PipelinePreset, WorkloadSpec};
 pub use store::{ClaimToken, JobState, JobStore, Recovery};
 pub use supervise::{SupervisorConfig, SupervisorStats};
 
@@ -92,6 +92,16 @@ impl std::error::Error for ServeError {}
 
 /// Crate-wide result alias.
 pub type Result<T, E = ServeError> = std::result::Result<T, E>;
+
+/// 64-bit FNV-1a over `bytes` — the spec digest and the shard hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 #[cfg(test)]
 mod tests {

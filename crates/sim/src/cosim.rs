@@ -233,11 +233,7 @@ impl BankSink for Lane<'_, '_> {
 /// Forces the stage input banks and drives the input ports from the
 /// pipeline occupancy `stages` (`stages[s]` is the instruction in stage
 /// `s`, IF = 0 … WB = 5).
-fn force_banks(
-    banks: &Banks<'_>,
-    stages: [Option<&Retired>; STAGE_COUNT],
-    d: &mut impl BankSink,
-) {
+fn force_banks(banks: &Banks<'_>, stages: [Option<&Retired>; STAGE_COUNT], d: &mut impl BankSink) {
     let enc = |r: &Retired| r.inst.encode().unwrap_or(0) as u64;
     // Stage 0 inputs: the instruction entering IF.
     if let Some(i0) = stages[0] {

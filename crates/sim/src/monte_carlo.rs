@@ -532,8 +532,15 @@ impl McCheckpoint {
 
 const MC_MAGIC: &[u8; 8] = b"TERSEMC1";
 
-/// FNV-1a over the run parameters that determine every cell count. A resumed
-/// checkpoint must match, or the stored counts belong to a different run.
+/// A byte-wise hash over the run parameters that determine every cell
+/// count. A resumed checkpoint must match, or the stored counts belong to a
+/// different run.
+///
+/// It has FNV-1a's shape and offset basis, but multiplies by
+/// `0x1000_0000_01b3`, not the FNV prime `0x0100_0000_01b3` the other
+/// hashes in the workspace use. The constant stays: changing it would
+/// change every context hash and orphan existing TERSEMC1 checkpoints
+/// (`mc_context_hash_is_pinned` holds the value).
 fn mc_context_hash(cfg: MonteCarloConfig, chips: usize, inputs: usize, program_len: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [
@@ -770,6 +777,19 @@ mod tests {
     use terse_isa::assemble;
     use terse_sta::delay::DelayLibrary;
     use terse_sta::variation::{VariationConfig, VariationModel};
+
+    /// The TERSEMC1 context hash of a fixed configuration. Existing Monte
+    /// Carlo checkpoints are keyed by this value, so it must not move.
+    #[test]
+    fn mc_context_hash_is_pinned() {
+        let cfg = MonteCarloConfig {
+            budget: 10_000,
+            dmem_words: 256,
+            seed: 0x4D43,
+        };
+        let h = mc_context_hash(cfg, 64, 3, 17);
+        assert_eq!(h, 0xd40f_7b3f_4ce5_4661);
+    }
 
     /// A toy model: adds fail with probability proportional to carry chain,
     /// everything else never fails.

@@ -185,12 +185,7 @@ impl Profiler {
 /// stream: the slot it takes in a reservoir of capacity `cap` currently
 /// holding `kept` samples (`kept` itself appends), or `None` when it is
 /// not kept. Draws from `rng` only once the reservoir is full.
-pub(crate) fn reservoir_slot(
-    kept: usize,
-    cap: usize,
-    seen: u64,
-    rng: &mut Xoshiro256,
-) -> Option<usize> {
+fn reservoir_slot(kept: usize, cap: usize, seen: u64, rng: &mut Xoshiro256) -> Option<usize> {
     if kept < cap {
         return Some(kept);
     }
